@@ -24,9 +24,18 @@ The on side pays one deque append per span plus one lock-and-compare
 per request for the ring tick — the budget for leaving the recorder on
 in production is the same 5%.
 
+The fourth benchmark bounds the join counters on a heavy join: the
+largest-result pair among 10 hot WG 0.25 candidates at k=10 (fixed
+seed), with ``enumerate_full_list`` timed with obs off, obs on and
+under an EXPLAIN recorder.  The per-pair counters come from the
+production join at O(plan length) per call, so both ratios must stay
+within the tolerance; a join that swaps in a different algorithm when
+instrumented fails here.
+
 Runs are recorded under ``benchmarks/results/bench_obs.json``,
-``benchmarks/results/bench_obs_events.json`` and
-``benchmarks/results/bench_obs_flight.json``.
+``benchmarks/results/bench_obs_events.json``,
+``benchmarks/results/bench_obs_flight.json`` and
+``benchmarks/results/bench_obs_heavy.json``.
 """
 
 from __future__ import annotations
@@ -37,8 +46,10 @@ import time
 
 from benchmarks.conftest import bench_config as _config, metric, publish_json
 from repro import obs
+from repro.core.enumeration import enumerate_full_list
 from repro.core.enumerator import CpeEnumerator
 from repro.graph import datasets
+from repro.obs import explain
 from repro.workloads.queries import hot_queries
 from repro.workloads.updates import relevant_update_stream
 
@@ -265,10 +276,88 @@ def bench_flight_overhead_under_budget():
     )
 
 
+def _heavy_index():
+    """The index of the largest-result pair among 10 hot candidates.
+
+    Fixed rule: ``hot_queries(WG 0.25, 10, k=10, top_fraction=0.05,
+    seed=config.seed)``, ties broken by candidate order.
+    """
+    config = _config(scale=0.25, k=10)
+    graph = datasets.load("WG", config.scale)
+    candidates = hot_queries(graph, 10, config.k, 0.05, seed=config.seed)
+    best = None
+    for query in candidates:
+        enumerator = CpeEnumerator(graph, query.s, query.t, query.k)
+        count = enumerator.count_paths()
+        if best is None or count > best[0]:
+            best = (count, query, enumerator.index)
+    assert best is not None
+    return best[0], best[1], best[2], config
+
+
+def _time_join(index) -> float:
+    start = time.perf_counter()
+    enumerate_full_list(index)
+    return time.perf_counter() - start
+
+
+def bench_heavy_join_counters_under_budget():
+    """Join counters and EXPLAIN on a heavy join stay within tolerance."""
+    paths, query, index, config = _heavy_index()
+    previous = obs.set_enabled(False)
+    disabled_times = []
+    enabled_times = []
+    explain_times = []
+    try:
+        _time_join(index)  # warm the packed program before measuring
+        for _ in range(REPEATS):
+            obs.disable()
+            disabled_times.append(_time_join(index))
+            obs.enable()
+            obs.reset()
+            enabled_times.append(_time_join(index))
+            obs.disable()
+            with explain.recording():
+                explain_times.append(_time_join(index))
+    finally:
+        obs.set_enabled(previous)
+        obs.reset()
+    disabled = statistics.median(disabled_times)
+    enabled = statistics.median(enabled_times)
+    explained = statistics.median(explain_times)
+    obs_ratio = enabled / disabled
+    explain_ratio = explained / disabled
+    print(f"\nheavy join q({query.s}, {query.t}, {query.k}), {paths} paths: "
+          f"disabled {disabled * 1e3:.2f} ms, obs {enabled * 1e3:.2f} ms "
+          f"(ratio {obs_ratio:.3f}), explain {explained * 1e3:.2f} ms "
+          f"(ratio {explain_ratio:.3f}) (tolerance {TOLERANCE:.2f})")
+    publish_json(
+        "bench_obs_heavy",
+        {
+            "paths": metric(paths, unit="count", direction="higher"),
+            "disabled_s": metric(disabled),
+            "enabled_s": metric(enabled),
+            "explain_s": metric(explained),
+            "overhead_ratio": metric(obs_ratio, unit="ratio"),
+            "explain_overhead_ratio": metric(explain_ratio, unit="ratio"),
+        },
+        config=config,
+    )
+    assert obs_ratio < TOLERANCE, (
+        f"heavy-join obs overhead ratio {obs_ratio:.3f} exceeds "
+        f"{TOLERANCE:.2f}"
+    )
+    assert explain_ratio < TOLERANCE, (
+        f"heavy-join explain overhead ratio {explain_ratio:.3f} exceeds "
+        f"{TOLERANCE:.2f}"
+    )
+
+
 __all__ = [
     "TOLERANCE",
     "REPEATS",
     "bench_obs_overhead_under_budget",
     "bench_events_overhead_under_budget",
     "bench_flight_overhead_under_budget",
+    "bench_heavy_join_counters_under_budget",
 ]

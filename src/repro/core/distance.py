@@ -59,19 +59,8 @@ class DistanceMap:
         self._build()
 
     def _build(self) -> None:
-        if self._build_from_arrays():
-            return
-        self._dist = {self.source: 0}
-        queue = deque([self.source])
-        while queue:
-            u = queue.popleft()
-            du = self._dist[u]
-            if du >= self.horizon:
-                continue
-            for v in self._view.out_neighbors(u):
-                if v not in self._dist:
-                    self._dist[v] = du + 1
-                    queue.append(v)
+        if not self._build_from_arrays():
+            self._dist = self.recomputed()
 
     #: Unvisited sentinel of the flat BFS distance array (one byte).
     _UNSEEN = 255
@@ -85,9 +74,9 @@ class DistanceMap:
         ``bytearray`` distance table instead of hashing vertices, and
         the result is translated into ``_dist`` once, in discovery
         order — so the maintained dict is byte-identical (content *and*
-        insertion order) to what the generic build produces.  Returns
-        False when the view has no interned plane (frozen/temporal
-        wrappers) or the horizon does not fit the byte table.
+        insertion order) to what :meth:`recomputed` produces.  Returns
+        False when the view has no interned plane or the horizon does
+        not fit the byte table.
         """
         int_adjacency = getattr(self._view, "int_adjacency", None)
         if int_adjacency is None or self.horizon >= self._UNSEEN - 1:
@@ -95,7 +84,7 @@ class DistanceMap:
         adjacency, interner = int_adjacency()
         source_id = interner.get(self.source)
         if source_id < 0 or source_id >= len(adjacency):
-            # Unregistered source: same result as the generic build over
+            # Unregistered source: same result as :meth:`recomputed` over
             # an empty neighbor view.
             self._dist = {self.source: 0}
             return True

@@ -14,214 +14,82 @@
 
 from __future__ import annotations
 
-from typing import Any, Iterator, List
+from typing import Iterator, List
 
 from repro import obs
-from repro.obs.explain import ExplainRecord
 from repro.obs.explain import active as explain_active
-from repro.core.index import PackedLevel, PartialPathIndex, PathBuckets
+from repro.core.index import PartialPathIndex, PathBuckets
 from repro.core.paths import Path
-from repro.graph.npcompat import get_numpy
 
-#: Probe-count floor under which the blocked numpy probe is not worth
-#: its per-bucket call overhead (the scalar int-AND loop wins).
-_NP_PROBE_MIN = 4096
 
-#: Byte cap on one numpy AND block (left rows are chunked to stay under).
-_NP_BLOCK_BYTES = 1 << 24
+def _join_steps(index: PartialPathIndex) -> Iterator[List[Path]]:
+    """The one full join: each step's output, direct edge first.
+
+    Runs :meth:`PartialPathIndex.packed_program` step by step: one int
+    AND against the cut-vertex bit per probe replaces the per-probe set
+    build + ``isdisjoint`` + tail slice, and the packed arrays mirror
+    the dict/set walk order exactly, so the emitted sequence is the
+    Algorithm 1 order.  Each step's emit count is the length of its
+    output, so with observability on (:func:`repro.obs.enabled`) or an
+    EXPLAIN recorder installed (:func:`repro.obs.explain.active`) the
+    per-pair accounting costs O(plan length), not O(paths).
+    """
+    recorder = explain_active()
+    observed = obs.enabled()
+    total = 0
+    if index.direct_edge:
+        total = 1
+        yield [(index.s, index.t)]
+    for step in index.packed_program():
+        probes = step.probes
+        if probes is not None:
+            out: List[Path] = [
+                lp + rtail
+                for lmask, lp, rmask, rtail, vcbit in probes
+                if (lmask & rmask) == vcbit
+            ]
+        else:
+            out = []
+            append = out.append
+            for vcbit, lmasks, lpaths, rpairs in step.buckets:
+                for lmask, lp in zip(lmasks, lpaths):
+                    for rmask, rtail in rpairs:
+                        if (lmask & rmask) == vcbit:
+                            append(lp + rtail)
+        yield out
+        emitted = len(out)
+        total += emitted
+        if recorder is not None:
+            recorder.record_join_pair(
+                step.i, step.j, step.cut_vertices, step.probe_total, emitted
+            )
+        # Pairs with an empty level never reach the probe, so they get no
+        # sample; live pairs with no shared cut vertex record a 0.
+        if observed and step.live:
+            obs.incr(f"enumeration.join.{step.i}x{step.j}.paths", emitted)
+            obs.observe("enumeration.join_pair_output", emitted)
+    if observed:
+        obs.incr("enumeration.paths", total)
 
 
 def enumerate_full(index: PartialPathIndex) -> Iterator[Path]:
     """Yield every k-st path currently represented by the index.
 
-    With observability on (:func:`repro.obs.enabled`) the join loop also
-    records per-``(i, j)`` pair output counts; with an EXPLAIN recorder
-    installed (:func:`repro.obs.explain.active`) it additionally counts
-    cut vertices and per-pair probe/emit cardinalities.  The plain path
-    probes the packed levels (:meth:`PartialPathIndex.packed_left` /
-    ``packed_right``): one int AND against the cut-vertex bit replaces
-    the per-probe set build + ``isdisjoint`` + tail slice, and the
-    packed arrays mirror the live dict/set walk order exactly, so the
-    emitted sequence is unchanged.
+    Memory is bounded by one join step's output, not by the path total.
     """
-    recorder = explain_active()
-    if recorder is not None:
-        yield from _enumerate_full_explained(index, recorder)
-        return
-    if obs.enabled():
-        yield from _enumerate_full_observed(index)
-        return
-    if index.direct_edge:
-        yield (index.s, index.t)
-    for _lpk, _rpk, probes, buckets in index.packed_program():
-        if probes is not None:
-            for lmask, lp, rmask, rtail, vcbit in probes:
-                if (lmask & rmask) == vcbit:
-                    yield lp + rtail
-            continue
-        for _ls, _le, vcbit, _rs, _re, lmasks, lpaths, rpairs in buckets:
-            for lmask, lp in zip(lmasks, lpaths):
-                for rmask, rtail in rpairs:
-                    if (lmask & rmask) == vcbit:
-                        yield lp + rtail
+    for out in _join_steps(index):
+        yield from out
 
 
 def enumerate_full_list(index: PartialPathIndex) -> List[Path]:
     """:func:`enumerate_full` materialized — the throughput fast path.
 
-    Semantically ``list(enumerate_full(index))`` (same paths, same
-    order), without the generator frame per path; on buckets whose
-    probe count reaches :data:`_NP_PROBE_MIN` and with numpy available,
-    the mask test runs as a blocked ``uint64`` matrix AND over the
-    packed level's word matrix instead of a scalar loop.
+    Same paths, same order, without the generator frame per path.
     """
-    recorder = explain_active()
-    if recorder is not None:
-        return list(_enumerate_full_explained(index, recorder))
-    if obs.enabled():
-        return list(_enumerate_full_observed(index))
-    out: List[Path] = []
-    append = out.append
-    if index.direct_edge:
-        append((index.s, index.t))
-    # The numpy lookup re-reads the fallback env var, so defer it until
-    # a bucket is actually big enough to want the block probe.
-    np: Any = None
-    np_checked = False
-    for lpk, rpk, probes, buckets in index.packed_program():
-        if probes is not None:
-            out += [
-                lp + rtail
-                for lmask, lp, rmask, rtail, vcbit in probes
-                if (lmask & rmask) == vcbit
-            ]
-            continue
-        for ls, le, vcbit, rs, re, lmasks, lpaths, rpairs in buckets:
-            if (le - ls) * (re - rs) >= _NP_PROBE_MIN:
-                if not np_checked:
-                    np = get_numpy()
-                    np_checked = True
-                if np is not None:
-                    _np_block_probe(np, out, lpk, rpk, ls, le, rs, re, vcbit)
-                    continue
-            for lmask, lp in zip(lmasks, lpaths):
-                for rmask, rtail in rpairs:
-                    if (lmask & rmask) == vcbit:
-                        append(lp + rtail)
-    return out
-
-
-def _np_block_probe(
-    np: Any,
-    out: List[Path],
-    lpk: PackedLevel,
-    rpk: PackedLevel,
-    ls: int,
-    le: int,
-    rs: int,
-    re: int,
-    vcbit: int,
-) -> None:
-    """Blocked vectorized mask probe for one large cut-vertex bucket.
-
-    Emits exactly what the scalar loop emits, in the same (row-major)
-    order: hit indexes come from ``nonzero`` on the per-block equality
-    matrix, which scans rows (left paths) then columns (right paths).
-    """
-    width = (max(lpk.bits_used, rpk.bits_used) + 63) // 64
-    lwords = lpk.words(np, width)
-    rwords = rpk.words(np, width)[rs:re]
-    target = np.frombuffer(vcbit.to_bytes(width * 8, "little"), dtype="<u8")
-    left_paths = lpk.flat_paths
-    right_tails = rpk.tails
-    assert right_tails is not None
-    append = out.append
-    rows_per_block = max(1, _NP_BLOCK_BYTES // (8 * width * max(1, re - rs)))
-    for block_start in range(ls, le, rows_per_block):
-        block_end = min(le, block_start + rows_per_block)
-        block = lwords[block_start:block_end]
-        hits = ((block[:, None, :] & rwords[None, :, :]) == target).all(axis=2)
-        li_idx, ri_idx = hits.nonzero()
-        for a, b in zip(li_idx.tolist(), ri_idx.tolist()):
-            append(left_paths[block_start + a] + right_tails[rs + b])
-
-
-def _enumerate_full_observed(index: PartialPathIndex) -> Iterator[Path]:
-    """The :func:`enumerate_full` join with per-pair output accounting."""
-    total = 0
-    if index.direct_edge:
-        total += 1
-        yield (index.s, index.t)
-    left, right = index.left, index.right
-    for i, j in index.plan:
-        left_bucket = left.bucket(i)
-        right_bucket = right.bucket(j)
-        if not left_bucket or not right_bucket:
-            continue
-        if len(left_bucket) <= len(right_bucket):
-            middles = (v for v in left_bucket if v in right_bucket)
-        else:
-            middles = (v for v in right_bucket if v in left_bucket)
-        emitted = 0
-        for vc in middles:
-            right_paths = right_bucket[vc]
-            for lp in left_bucket[vc]:
-                lp_set = set(lp)
-                for rp in right_paths:
-                    if lp_set.isdisjoint(rp[1:]):
-                        emitted += 1
-                        yield lp + rp[1:]
-        obs.incr(f"enumeration.join.{i}x{j}.paths", emitted)
-        obs.observe("enumeration.join_pair_output", emitted)
-        total += emitted
-    obs.incr("enumeration.paths", total)
-
-
-def _enumerate_full_explained(
-    index: PartialPathIndex, recorder: ExplainRecord
-) -> Iterator[Path]:
-    """The :func:`enumerate_full` join with per-pair EXPLAIN accounting.
-
-    Records, for every plan pair, the cut-vertex count (middles present
-    on both sides), the probe count (``(lp, rp)`` combinations tested
-    for vertex-disjointness), and the emit count.  Also feeds the
-    regular obs counters when the gate is on, so ANALYZE under a live
-    service does not lose metrics.
-    """
-    observed = obs.enabled()
-    total = 0
-    if index.direct_edge:
-        total += 1
-        yield (index.s, index.t)
-    left, right = index.left, index.right
-    for i, j in index.plan:
-        left_bucket = left.bucket(i)
-        right_bucket = right.bucket(j)
-        cut_vertices = 0
-        probes = 0
-        emitted = 0
-        if left_bucket and right_bucket:
-            if len(left_bucket) <= len(right_bucket):
-                middles = (v for v in left_bucket if v in right_bucket)
-            else:
-                middles = (v for v in right_bucket if v in left_bucket)
-            for vc in middles:
-                cut_vertices += 1
-                right_paths = right_bucket[vc]
-                for lp in left_bucket[vc]:
-                    lp_set = set(lp)
-                    probes += len(right_paths)
-                    for rp in right_paths:
-                        if lp_set.isdisjoint(rp[1:]):
-                            emitted += 1
-                            yield lp + rp[1:]
-        recorder.record_join_pair(i, j, cut_vertices, probes, emitted)
-        if observed:
-            obs.incr(f"enumeration.join.{i}x{j}.paths", emitted)
-            obs.observe("enumeration.join_pair_output", emitted)
-        total += emitted
-    if observed:
-        obs.incr("enumeration.paths", total)
+    paths: List[Path] = []
+    for out in _join_steps(index):
+        paths += out
+    return paths
 
 
 def enumerate_delta(
@@ -271,8 +139,8 @@ def enumerate_delta(
 
 
 def count_full(index: PartialPathIndex) -> int:
-    """Number of k-st paths without materializing them as a list."""
-    return sum(1 for _ in enumerate_full(index))
+    """Number of k-st paths, holding one join step's output at a time."""
+    return sum(map(len, _join_steps(index)))
 
 
 __all__ = [

@@ -17,8 +17,10 @@ so that joining is plain tuple concatenation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import (
+    Any, Callable, Dict, Iterator, List, NamedTuple, Optional, Set, Tuple,
+)
 
 from repro.core.paths import Path, hops
 from repro.core.plan import JoinPlan
@@ -52,37 +54,13 @@ class PackedLevel:
     flat_paths: List[Path]
     masks: List[int]
     tails: Optional[List[Path]]
-    #: Bit-space size at pack time (every mask fits in this many bits).
-    bits_used: int
-    #: Lazy ``(words_per_mask, uint64 matrix)`` for the numpy block probe.
-    _words: Optional[Tuple[int, Any]] = field(default=None, repr=False)
-
-    def words(self, np: Any, width: int) -> Any:
-        """The masks as an ``(n, width)`` little-endian uint64 matrix.
-
-        Built once per requested width and cached; the numpy block probe
-        in :mod:`repro.core.enumeration` slices row windows out of it.
-        """
-        cached = self._words
-        if cached is not None and cached[0] == width:
-            return cached[1]
-        nbytes = width * 8
-        data = b"".join(m.to_bytes(nbytes, "little") for m in self.masks)
-        matrix = np.frombuffer(data, dtype="<u8").reshape(
-            len(self.masks), width
-        )
-        self._words = (width, matrix)
-        return matrix
 
 
 #: One pre-resolved cut-vertex bucket of a join step:
-#: ``(left start, left end, vc bit, right start, right end,
-#:    left mask slice, left path slice, right (mask, tail) pairs)`` —
-#: the slices/pairs are materialized once per index version so the probe
+#: ``(vc bit, left masks, left paths, right (mask, tail) pairs)`` — the
+#: slices/pairs are materialized once per index version so the probe
 #: loop runs on plain lists with no per-call slicing.
-BucketStep = Tuple[
-    int, int, int, int, int, List[int], List[Path], List[Tuple[int, Path]]
-]
+BucketStep = Tuple[int, List[int], List[Path], List[Tuple[int, Path]]]
 
 #: One linearized probe of a small join step:
 #: ``(left mask, left path, right mask, right tail, vc bit)``.
@@ -92,16 +70,32 @@ ProbeStep = Tuple[int, Path, int, Path, int]
 #: probe count stays under this is stored as one flat probe list (one
 #: tuple per ``(lp, rp)`` combination, in emission order), so the join
 #: runs as a single comprehension; bigger steps keep the per-bucket
-#: nested layout (and qualify for the numpy block probe instead).
+#: nested layout.
 PACK_FLAT_STEP_MAX = 4096
 
-#: One resolved join step: the two packed levels (kept for the numpy
-#: word-matrix probe), the flat probe list (small steps; None
-#: otherwise), and the per-cut-vertex bucket ranges (big steps; empty
-#: when the flat list is used).
-JoinStep = Tuple[
-    PackedLevel, PackedLevel, Optional[List[ProbeStep]], List[BucketStep]
-]
+
+class JoinStep(NamedTuple):
+    """One plan pair ``(i, j)`` resolved against the packed levels.
+
+    The program has one step per plan pair, in plan order, including
+    pairs with an empty level or no shared cut vertex (their probe data
+    is empty).  The cardinalities are the join's own: EXPLAIN estimates
+    and ANALYZE probe counts read them straight off the step.
+    """
+
+    i: int
+    j: int
+    #: Whether both ``LP_i`` and ``RP_j`` hold paths.
+    live: bool
+    #: Middle vertices present on both sides.
+    cut_vertices: int
+    #: ``Σ_v |LP_i(v)|·|RP_j(v)|`` — the ``(lp, rp)`` combinations probed.
+    probe_total: int
+    #: The flat probe list (steps under :data:`PACK_FLAT_STEP_MAX`), or
+    #: None when the step keeps the per-bucket layout.
+    probes: Optional[List[ProbeStep]]
+    #: Per-cut-vertex buckets (big steps; empty when ``probes`` is used).
+    buckets: List[BucketStep]
 
 
 class PathBuckets:
@@ -232,7 +226,6 @@ class PathBuckets:
             flat_paths=flat_paths,
             masks=masks,
             tails=tails,
-            bits_used=max(m.bit_length() for m in masks),
         )
         self._packed[length] = (self._version, packed)
         return packed
@@ -396,11 +389,10 @@ class PartialPathIndex:
     def packed_program(self) -> List[JoinStep]:
         """The join plan resolved against the packed levels.
 
-        One step per plan pair with live buckets: the two packed levels
-        plus, per cut vertex present on both sides, its
-        ``(left start, left end, vc bit, right start, right end)`` slot
-        ranges — middle-vertex intersection order preserved (driven from
-        the smaller side, exactly as the legacy nested join iterates).
+        One :class:`JoinStep` per plan pair, in plan order, carrying the
+        step's cut-vertex count and probe total plus, per cut vertex
+        present on both sides, its pre-sliced probe data — middle-vertex
+        intersection order preserved (driven from the smaller side).
         Cached until either side's buckets change or are replaced.
         """
         cached = self._program
@@ -416,45 +408,44 @@ class PartialPathIndex:
         for i, j in self.plan:
             lpk = self.packed_left(i)
             rpk = self.packed_right(j)
-            if lpk is None or rpk is None:
-                continue
-            left_slots = lpk.slots
-            right_slots = rpk.slots
-            if len(left_slots) <= len(right_slots):
-                middles = (v for v in left_slots if v in right_slots)
-            else:
-                middles = (v for v in right_slots if v in left_slots)
-            assert rpk.tails is not None
+            live = lpk is not None and rpk is not None
             buckets: List[BucketStep] = []
             probe_total = 0
-            for vc in middles:
-                ls, le, vcbit = left_slots[vc]
-                rs, re, _ = right_slots[vc]
-                probe_total += (le - ls) * (re - rs)
-                buckets.append(
-                    (
-                        ls,
-                        le,
-                        vcbit,
-                        rs,
-                        re,
-                        lpk.masks[ls:le],
-                        lpk.flat_paths[ls:le],
-                        list(zip(rpk.masks[rs:re], rpk.tails[rs:re])),
+            if lpk is not None and rpk is not None:
+                left_slots = lpk.slots
+                right_slots = rpk.slots
+                if len(left_slots) <= len(right_slots):
+                    middles = (v for v in left_slots if v in right_slots)
+                else:
+                    middles = (v for v in right_slots if v in left_slots)
+                assert rpk.tails is not None
+                for vc in middles:
+                    ls, le, vcbit = left_slots[vc]
+                    rs, re, _ = right_slots[vc]
+                    probe_total += (le - ls) * (re - rs)
+                    buckets.append(
+                        (
+                            vcbit,
+                            lpk.masks[ls:le],
+                            lpk.flat_paths[ls:le],
+                            list(zip(rpk.masks[rs:re], rpk.tails[rs:re])),
+                        )
                     )
-                )
-            if not buckets:
-                continue
+            cut_vertices = len(buckets)
+            probes: Optional[List[ProbeStep]] = None
             if probe_total < PACK_FLAT_STEP_MAX:
-                probes: List[ProbeStep] = [
+                probes = [
                     (lmask, lp, rmask, rtail, vcbit)
-                    for _ls, _le, vcbit, _rs, _re, lms, lps, rpairs in buckets
+                    for vcbit, lms, lps, rpairs in buckets
                     for lmask, lp in zip(lms, lps)
                     for rmask, rtail in rpairs
                 ]
-                program.append((lpk, rpk, probes, []))
-            else:
-                program.append((lpk, rpk, None, buckets))
+                buckets = []
+            program.append(
+                JoinStep(
+                    i, j, live, cut_vertices, probe_total, probes, buckets
+                )
+            )
         self._program = (
             self.left,
             self.right,
@@ -489,6 +480,7 @@ class PartialPathIndex:
 __all__ = [
     "Bucket",
     "PackedLevel",
+    "JoinStep",
     "PathBuckets",
     "IndexMemoryStats",
     "PartialPathIndex",

@@ -465,30 +465,22 @@ def explain_query(
     """
     # Imported lazily: repro.core imports this module for the hooks.
     from repro.core.construction import build_index
-    from repro.core.enumeration import enumerate_full
+    from repro.core.enumeration import count_full
 
     with recording() as rec:
         started = time.perf_counter()
         result = build_index(graph, s, t, k)
         construction_seconds = time.perf_counter() - started
         index = result.index
-        estimates: List[Dict[str, Any]] = []
-        for i, j in index.plan:
-            left_bucket = index.left.bucket(i)
-            right_bucket = index.right.bucket(j)
-            if len(left_bucket) <= len(right_bucket):
-                middles = [v for v in left_bucket if v in right_bucket]
-            else:
-                middles = [v for v in right_bucket if v in left_bucket]
-            est = sum(
-                len(left_bucket[v]) * len(right_bucket[v]) for v in middles
-            )
-            estimates.append({
-                "i": i,
-                "j": j,
-                "cut_vertices": len(middles),
-                "est_output": est,
-            })
+        estimates: List[Dict[str, Any]] = [
+            {
+                "i": step.i,
+                "j": step.j,
+                "cut_vertices": step.cut_vertices,
+                "est_output": step.probe_total,
+            }
+            for step in index.packed_program()
+        ]
         enumeration_seconds = 0.0
         if analyze:
             # obs.span is gated; the CLI enables obs for --format trace so
@@ -497,7 +489,7 @@ def explain_query(
 
             started = time.perf_counter()
             with obs.span("enumeration.full"):
-                total = sum(1 for _ in enumerate_full(index))
+                total = count_full(index)
             enumeration_seconds = time.perf_counter() - started
             rec.record_total(total)
     planner_section: Optional[Dict[str, Any]] = None

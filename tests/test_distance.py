@@ -4,8 +4,10 @@ import random
 
 import pytest
 
+from repro.baselines.bruteforce import path_set
 from repro.core.distance import DistanceMap, induced_vertices
-from repro.graph.digraph import DynamicDiGraph
+from repro.core.enumerator import CpeEnumerator
+from repro.graph.digraph import DynamicDiGraph, EdgeUpdate
 from tests.conftest import make_random_graph
 
 
@@ -46,6 +48,27 @@ class TestBuild:
         d = DistanceMap(chain(3), 0, horizon=5)
         assert 2 in d
         assert len(d) == 3
+
+
+class TestWideHorizon:
+    """Horizons past the byte table take the dict BFS (``recomputed``)."""
+
+    def test_long_chain_past_the_byte_horizon(self):
+        n, k = 262, 261
+        g = chain(n)
+        g.add_edge(5, 200)
+        s, t = 0, n - 1
+        cpe = CpeEnumerator(g, s, t, k)
+        assert cpe.dist_s.horizon >= DistanceMap._UNSEEN - 1
+        assert set(cpe.startup()) == path_set(g, s, t, k)
+        for u, v, insert in [(20, 150, True), (5, 200, False)]:
+            update = EdgeUpdate(u, v, insert)
+            assert g.apply_update(update)
+            cpe.observe(update)
+            assert cpe.dist_s.is_consistent()
+            assert cpe.dist_t.is_consistent()
+            assert set(cpe.startup()) == path_set(g, s, t, k)
+        assert len(cpe.startup()) == 2  # the chain and the 20->150 hop
 
 
 class TestRelaxInsert:

@@ -116,6 +116,112 @@ class TestRecordingContext:
         assert before.cut_steps == []
 
 
+#: Per plan pair, in plan order: ``(i, j, cut_vertices, probes, emitted)``.
+#: Every plan pair gets a row, including pairs with an empty level.
+PINNED_JOIN_ROWS = {
+    "grid": [
+        (1, 1, 0, 0, 0),
+        (1, 2, 0, 0, 0),
+        (2, 2, 0, 0, 0),
+        (2, 3, 0, 0, 0),
+        (3, 3, 4, 20, 20),
+    ],
+    "diamond": [(1, 1, 2, 2, 2), (1, 2, 0, 0, 0)],
+}
+
+#: ``enumeration.*`` counters and the ``join_pair_output`` sample count
+#: with obs on.  Pairs whose levels are both non-empty record a sample
+#: even with no shared cut vertex (the grid's first four pairs); pairs
+#: with an empty level record nothing (the diamond's empty ``RP_2``).
+PINNED_COUNTERS = {
+    "grid": (
+        {
+            "enumeration.join.1x1.paths": 0,
+            "enumeration.join.1x2.paths": 0,
+            "enumeration.join.2x2.paths": 0,
+            "enumeration.join.2x3.paths": 0,
+            "enumeration.join.3x3.paths": 20,
+            "enumeration.paths": 20,
+        },
+        5,
+    ),
+    "diamond": (
+        {"enumeration.join.1x1.paths": 2, "enumeration.paths": 3},
+        1,
+    ),
+}
+
+
+@pytest.fixture(params=["grid", "diamond"])
+def pinned_query(request, grid, diamond):
+    if request.param == "grid":
+        return request.param, grid, (0, 15, 6)
+    return request.param, diamond, (0, 3, 3)
+
+
+def _enumeration_metrics():
+    snap = obs.snapshot()
+    counters = {
+        name: value
+        for name, value in snap["counters"].items()
+        if name.startswith("enumeration.")
+    }
+    samples = snap["histograms"]["enumeration.join_pair_output"]["count"]
+    return counters, samples
+
+
+class TestPinnedJoinTelemetry:
+    """The join's telemetry values, fixed per query and per plan pair."""
+
+    def test_analyze_rows(self, pinned_query):
+        name, graph, (s, t, k) = pinned_query
+        report = explain_query(graph, s, t, k, analyze=True)
+        rows = [
+            (p.i, p.j, p.cut_vertices, p.probes, p.emitted)
+            for p in report.record.join_pairs
+        ]
+        assert rows == PINNED_JOIN_ROWS[name]
+        estimates = [
+            (e["i"], e["j"], e["cut_vertices"], e["est_output"])
+            for e in report.estimates
+        ]
+        assert estimates == [row[:4] for row in PINNED_JOIN_ROWS[name]]
+
+    @pytest.mark.parametrize("streaming", [False, True])
+    def test_obs_counters(self, pinned_query, streaming):
+        name, graph, (s, t, k) = pinned_query
+        cpe = CpeEnumerator(graph, s, t, k)
+        previous = obs.set_enabled(True)
+        obs.reset()
+        try:
+            if streaming:
+                list(cpe.iter_paths())
+            else:
+                cpe.startup()
+            assert _enumeration_metrics() == PINNED_COUNTERS[name]
+        finally:
+            obs.set_enabled(previous)
+            obs.reset()
+
+    def test_obs_counters_ignore_the_recorder(self, pinned_query):
+        name, graph, (s, t, k) = pinned_query
+        cpe = CpeEnumerator(graph, s, t, k)
+        previous = obs.set_enabled(True)
+        obs.reset()
+        try:
+            with recording() as record:
+                cpe.startup()
+            assert _enumeration_metrics() == PINNED_COUNTERS[name]
+        finally:
+            obs.set_enabled(previous)
+            obs.reset()
+        rows = [
+            (p.i, p.j, p.cut_vertices, p.probes, p.emitted)
+            for p in record.join_pairs
+        ]
+        assert rows == PINNED_JOIN_ROWS[name]
+
+
 class TestReportRendering:
     def test_to_dict_schema(self, grid):
         payload = explain_query(grid, 0, 15, 6, analyze=True).to_dict()

@@ -3,21 +3,21 @@
 Covers the dense-int vertex id space (:mod:`repro.graph.interning`),
 the optional-numpy switch (:mod:`repro.graph.npcompat`), the graph's
 dual-plane adjacency, the packed join levels / join program on the
-index, and the equivalence of the scalar and numpy join probes — the
-two legs must agree path-for-path, in order.
+index, and the equivalence of the join's entry points with and without
+instrumentation — every leg must agree path-for-path, in order.
 """
 
 import random
 
 import pytest
 
-import repro.core.enumeration as enumeration_mod
-import repro.core.index as index_mod
+from repro import obs
 from repro.core.enumeration import enumerate_full, enumerate_full_list
 from repro.core.enumerator import CpeEnumerator
 from repro.graph.digraph import DynamicDiGraph
 from repro.graph.interning import VertexInterner
 from repro.graph.npcompat import NO_NUMPY_ENV, get_numpy, numpy_available
+from repro.obs.explain import recording
 from tests.conftest import make_random_graph, random_query
 
 
@@ -232,7 +232,7 @@ class TestPackedLevels:
 
 
 # ----------------------------------------------------------------------
-# Join-probe equivalence: generator vs list vs numpy block
+# Join equivalence: generator vs list, obs off vs on vs EXPLAIN
 # ----------------------------------------------------------------------
 class TestJoinEquivalence:
     def test_list_variant_matches_generator(self):
@@ -241,27 +241,19 @@ class TestJoinEquivalence:
             g = make_random_graph(rng)
             s, t, k = random_query(rng, g)
             cpe = CpeEnumerator(g, s, t, k)
-            assert cpe.startup() == list(enumerate_full(cpe.index))
-
-    def test_numpy_block_probe_matches_scalar(self, monkeypatch):
-        pytest.importorskip("numpy")
-        # Force every bucket through the block probe, then compare with
-        # the forced pure fallback: identical paths, identical order.
-        rng = random.Random(303)
-        for _ in range(10):
-            g = make_random_graph(rng)
-            s, t, k = random_query(rng, g)
-            cpe = CpeEnumerator(g, s, t, k)
-            index = cpe.index
-            monkeypatch.setattr(enumeration_mod, "_NP_PROBE_MIN", 1)
-            index._program = None  # drop the flat-probe linearization
-            monkeypatch.setattr(index_mod, "PACK_FLAT_STEP_MAX", 0)
-            blocked = enumerate_full_list(index)
-            index._program = None
-            monkeypatch.setenv(NO_NUMPY_ENV, "1")
-            scalar = enumerate_full_list(index)
-            monkeypatch.delenv(NO_NUMPY_ENV)
-            assert blocked == scalar
+            paths = cpe.startup()
+            assert paths == list(enumerate_full(cpe.index))
+            # Instrumentation must not change the join or its order.
+            previous = obs.set_enabled(True)
+            try:
+                assert cpe.startup() == paths
+            finally:
+                obs.set_enabled(previous)
+                obs.reset()
+            with recording() as record:
+                assert cpe.startup() == paths
+            emitted = sum(pair.emitted for pair in record.join_pairs)
+            assert emitted + cpe.index.direct_edge == len(paths)
 
     def test_update_then_enumerate_matches_fresh_build(self):
         rng = random.Random(77)
