@@ -3,7 +3,7 @@
 The scheduled CI job runs :mod:`benchmarks.ci_bench`, gates it with
 :mod:`benchmarks.check_regression`, then appends the run's metrics to
 ``benchmarks/results/trajectory.csv`` — a committed, append-only ledger
-of how the three throughput axes move over time.  The CSV is plain and
+of how the throughput axes move over time.  The CSV is plain and
 diff-friendly: one header line, ISO dates, raw metric values.
 
 Usage::
@@ -38,7 +38,12 @@ FIELDS = [
     "construction_s",
     "enumeration_paths_per_s",
     "update_throughput_per_s",
+    "cold_query_paths_per_s.heavy",
 ]
+
+#: Columns added after the ledger's first row.  Rows recorded before a
+#: column existed leave its cell blank; every new row must fill it.
+LATE_FIELDS = frozenset({"cold_query_paths_per_s.heavy"})
 
 
 def _current_commit() -> str:
@@ -145,6 +150,7 @@ if __name__ == "__main__":
 
 __all__ = [
     "FIELDS",
+    "LATE_FIELDS",
     "load_rows",
     "append_result",
     "main",

@@ -1,15 +1,18 @@
 """R013 — interned array planes are read-only outside their owners.
 
 The dense-int structures backing the hot paths — the graph's interned
-adjacency arrays (``_out_ids`` / ``_in_ids``) and the packed join-level
-caches (``flat_paths`` / ``masks`` / ``tails`` / ``slots`` on
-:class:`repro.core.index.PackedLevel`) — are *derived* views kept in
-lockstep with the authoritative dict/set planes.  A direct ``append`` /
-``remove`` / item-assignment on one of them from outside the owning
-modules desynchronizes the planes silently: the dict plane still answers
-correctly, the array plane feeds the BFS/join wrong data, and no
-invariant check fires.  All writes must flow through the graph's edge
-API or the index maintenance layer, which update both planes together.
+adjacency arrays (``_out_ids`` / ``_in_ids``), the per-length packed
+join views (:data:`repro.core.index.PackedLevel`, returned by
+``packed`` / ``packed_left`` / ``packed_right``) and the cached join
+program (``packed_program()`` and its :class:`~repro.core.index.JoinStep`
+``probes`` / ``buckets``) — are *derived* views kept in lockstep with
+the authoritative dict planes.  A packed view's lists are shared by
+the cached program, so a direct ``append`` / ``remove`` /
+item-assignment on one of them from outside the owning modules
+desynchronizes the planes silently: the buckets still answer
+correctly, the join reads wrong data, and no invariant check fires.
+All writes must flow through the graph's edge API or the index
+maintenance layer, which drop the stale views.
 """
 
 from __future__ import annotations
@@ -33,11 +36,13 @@ ALLOWED_MODULES: FrozenSet[str] = frozenset(
     }
 )
 
-#: Attribute names of the interned/packed planes.  ``slots`` only counts
-#: with a mutating verb or subscript-store, so dataclass ``__slots__``
-#: style usage elsewhere is untouched.
-_PLANE_ATTRS = frozenset(
-    {"_out_ids", "_in_ids", "flat_paths", "masks", "tails", "slots"}
+#: Attribute names of the interned/packed planes.  Each only counts with
+#: a mutating verb, a subscript-store or a rebinding.
+_PLANE_ATTRS = frozenset({"_out_ids", "_in_ids", "probes", "buckets"})
+
+#: Methods whose result is a packed view or the cached join program.
+_PLANE_CALLS = frozenset(
+    {"packed", "packed_left", "packed_right", "packed_program"}
 )
 
 #: In-place mutators of ``list`` / ``array`` / ``dict`` receivers.
@@ -60,13 +65,21 @@ _MUTATORS = frozenset(
 def _plane_receiver(node: ast.expr) -> str | None:
     """The plane attribute name if ``node`` reads one, else None.
 
-    Matches both a direct attribute (``x.masks``) and one level of
-    subscripting (``x._out_ids[uid]`` — the per-vertex array).
+    Matches a direct attribute (``x.probes``), a packed-view call
+    (``x.packed_left(2)``) and one level of subscripting of either
+    (``x._out_ids[uid]`` — the per-vertex array, ``x.packed_right(1)[v]``
+    — one vertex's pairs).
     """
     if isinstance(node, ast.Subscript):
         node = node.value
     if isinstance(node, ast.Attribute) and node.attr in _PLANE_ATTRS:
         return node.attr
+    if (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in _PLANE_CALLS
+    ):
+        return node.func.attr + "()"
     return None
 
 

@@ -27,14 +27,16 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from itertools import chain
+from typing import Dict, List, Optional, Tuple
 
 from repro import obs
 from repro.obs.explain import active as explain_active
-from repro.core.distance import DistanceMap, induced_vertices
-from repro.core.index import PartialPathIndex
+from repro.core.distance import DistanceMap
+from repro.core.index import Bucket, PartialPathIndex, PathBuckets
 from repro.core.plan import JoinPlan
 from repro.graph.digraph import DynamicDiGraph, Vertex
+from repro.graph.interning import VertexInterner
 
 
 @dataclass
@@ -118,13 +120,17 @@ def build_index(
         if dist_t is None:
             dist_t = DistanceMap(graph.reverse_view(), t, horizon=k)
     stats.prep_seconds = time.perf_counter() - started
-    stats.induced_size = len(induced_vertices(dist_s, dist_t, k))
+    # V_sub (Theorem 4) in Dist_s BFS order: the join-mask bit order, so
+    # left paths, which stay near s, carry narrow masks.
+    to_t = dist_t.raw
+    induced = [v for v, d in dist_s.known() if d + to_t.get(v, k + 1) <= k]
+    stats.induced_size = len(induced)
 
     started = time.perf_counter()
     with obs.span("construction.build"):
-        builder = _Builder(graph, s, t, k, dist_s, dist_t, stats)
+        builder = _Builder(graph, s, t, k, dist_s, dist_t, induced, stats)
         plan = builder.run(forced_plan)
-    index = PartialPathIndex(s, t, k, plan)
+    index = PartialPathIndex(s, t, k, plan, bits=builder.bits)
     index.left = builder.left
     index.right = builder.right
     index.direct_edge = k >= 1 and graph.has_edge(s, t)
@@ -160,6 +166,7 @@ class _Builder:
         k: int,
         dist_s: DistanceMap,
         dist_t: DistanceMap,
+        induced: List[Vertex],
         stats: ConstructionStats,
     ) -> None:
         self.graph = graph
@@ -169,13 +176,22 @@ class _Builder:
         self.dist_s = dist_s
         self.dist_t = dist_t
         self.stats = stats
-        # Buckets are built here and handed to the index afterwards.
-        from repro.core.index import PathBuckets
-
+        # Buckets and the join-mask bit space are built here and handed
+        # to the index afterwards.  Every stored path lies in V_sub
+        # (Theorem 4), so s, t and V_sub get their bits up front and the
+        # level loops never intern; ``_bit`` caches ``1 << id``.
         self.left = PathBuckets()
         self.right = PathBuckets()
-        self._left_frontier: List[Tuple[Vertex, ...]] = [(s,)]
-        self._right_frontier: List[Tuple[Vertex, ...]] = [(t,)]
+        self.bits = VertexInterner(chain((s, t), induced))
+        self._bit = {v: 1 << i for i, v in enumerate(self.bits)}
+        # Frontier of level i = the paths stored at level i (see the
+        # module docstring), as the level's own bucket dict.
+        self._left_frontier: Bucket = {s: {(s,): 1}}
+        self._right_frontier: Bucket = {t: {(t,): 2}}
+        self._left_size = 1
+        self._right_size = 1
+        self._left_table = self._admissible(dist_t, t)
+        self._right_table = self._admissible(dist_s, s)
         # Per-query EXPLAIN recorder, checked once per build / level (not
         # per expansion) so the no-recorder case stays free.
         self._explain = explain_active()
@@ -202,7 +218,7 @@ class _Builder:
                 # frontier paths.  (The paper's Algorithm 2 line 8 has the
                 # comparison inverted relative to its own prose; we follow
                 # the prose, which is the variant that minimizes work.)
-                grow_left = len(self._left_frontier) < len(self._right_frontier)
+                grow_left = self._left_size < self._right_size
                 obs.incr(
                     "construction.cut.grow_left"
                     if grow_left
@@ -212,8 +228,8 @@ class _Builder:
                 recorder.record_cut(
                     i + j + 1,
                     "left" if grow_left else "right",
-                    len(self._left_frontier),
-                    len(self._right_frontier),
+                    self._left_size,
+                    self._right_size,
                     forced=forced is not None,
                 )
             if grow_left:
@@ -228,77 +244,103 @@ class _Builder:
         return JoinPlan(k, tuple(pairs))
 
     # ------------------------------------------------------------------
+    def _admissible(
+        self, dist: DistanceMap, avoid: Vertex
+    ) -> Tuple[Dict[Vertex, int], Dict[int, List[Vertex]]]:
+        """Optimization 1 as a table, for one side's level search.
+
+        Returns ``{y: bit}`` for the vertices level 1 may append (within
+        ``k - 1`` of the far endpoint, and not that endpoint) plus, per
+        level ``L``, the vertices that stop being admissible after
+        ``L`` — the search drops them as it deepens, so each vertex is
+        visited twice per build, not once per level.
+        """
+        k = self.k
+        raw = dist.raw
+        table: Dict[Vertex, int] = {}
+        last_level: Dict[int, List[Vertex]] = {}
+        for y, ybit in self._bit.items():
+            d = raw.get(y)
+            if y == avoid or d is None or d >= k:
+                continue
+            table[y] = ybit
+            last_level.setdefault(k - d, []).append(y)
+        return table, last_level
+
+    @staticmethod
+    def _deepen(
+        table: Dict[Vertex, int], last_level: Dict[int, List[Vertex]], level: int
+    ) -> None:
+        for y in last_level.pop(level - 1, ()):
+            del table[y]
+
     def _left_level(self, level: int) -> None:
         """Grow left partial paths from level ``level - 1`` to ``level``."""
-        t = self.t
-        budget = self.k - level  # max Dist_t[y] an admissible endpoint has
-        dist = self.dist_t.raw  # hot loop: raw map, absent == far
+        # y is admissible iff Dist_t[y] fits the remaining budget; the
+        # "y in path" test is a mask AND.
+        admissible, last_level = self._left_table
+        self._deepen(admissible, last_level, level)
         out_neighbors = self.graph.out_neighbors
         bucket = self.left.level_dict(level)
-        next_frontier: List[Tuple[Vertex, ...]] = []
+        added = 0
         expansions = 0
-        for path in self._left_frontier:
-            tail = path[-1]
-            for y in out_neighbors(tail):
-                expansions += 1
-                if y == t or dist.get(y, budget + 1) > budget or y in path:
-                    continue
-                extended = path + (y,)
-                paths = bucket.get(y)
-                if paths is None:
-                    bucket[y] = {extended}
-                else:
-                    paths.add(extended)
-                next_frontier.append(extended)
-        self.left.note_added(len(next_frontier))
+        for tail, paths in self._left_frontier.items():
+            neighbors = out_neighbors(tail)
+            expansions += len(neighbors) * len(paths)
+            for path, mask in paths.items():
+                for y in neighbors:
+                    ybit = admissible.get(y)
+                    if ybit is None or mask & ybit:
+                        continue
+                    held = bucket.get(y)
+                    if held is None:
+                        bucket[y] = {path + (y,): mask | ybit}
+                    else:
+                        held[path + (y,)] = mask | ybit
+                    added += 1
+        self.left.note_added(level, added)
         self.stats.expansions += expansions
-        self.stats.pruned += expansions - len(next_frontier)
+        self.stats.pruned += expansions - added
         if obs.enabled():
-            obs.observe("construction.left_frontier", len(next_frontier))
-            obs.incr(
-                "construction.left_pruned", expansions - len(next_frontier)
-            )
+            obs.observe("construction.left_frontier", added)
+            obs.incr("construction.left_pruned", expansions - added)
         if self._explain is not None:
-            self._explain.record_level(
-                "left", level, expansions, len(next_frontier)
-            )
-        self._left_frontier = next_frontier
+            self._explain.record_level("left", level, expansions, added)
+        self._left_frontier = bucket
+        self._left_size = added
 
     def _right_level(self, level: int) -> None:
         """Grow right partial paths (stored forward) by prepending."""
-        s = self.s
-        budget = self.k - level
-        dist = self.dist_s.raw
+        admissible, last_level = self._right_table
+        self._deepen(admissible, last_level, level)
         in_neighbors = self.graph.in_neighbors
         bucket = self.right.level_dict(level)
-        next_frontier: List[Tuple[Vertex, ...]] = []
+        added = 0
         expansions = 0
-        for path in self._right_frontier:
-            head = path[0]
-            for x in in_neighbors(head):
-                expansions += 1
-                if x == s or dist.get(x, budget + 1) > budget or x in path:
-                    continue
-                extended = (x,) + path
-                paths = bucket.get(x)
-                if paths is None:
-                    bucket[x] = {extended}
-                else:
-                    paths.add(extended)
-                next_frontier.append(extended)
-        self.right.note_added(len(next_frontier))
+        for head, paths in self._right_frontier.items():
+            neighbors = in_neighbors(head)
+            expansions += len(neighbors) * len(paths)
+            for path, mask in paths.items():
+                for x in neighbors:
+                    xbit = admissible.get(x)
+                    if xbit is None or mask & xbit:
+                        continue
+                    held = bucket.get(x)
+                    if held is None:
+                        bucket[x] = {(x,) + path: mask | xbit}
+                    else:
+                        held[(x,) + path] = mask | xbit
+                    added += 1
+        self.right.note_added(level, added)
         self.stats.expansions += expansions
-        self.stats.pruned += expansions - len(next_frontier)
+        self.stats.pruned += expansions - added
         if obs.enabled():
-            obs.observe("construction.right_frontier", len(next_frontier))
-            obs.incr(
-                "construction.right_pruned", expansions - len(next_frontier)
-            )
+            obs.observe("construction.right_frontier", added)
+            obs.incr("construction.right_pruned", expansions - added)
         if self._explain is not None:
-            self._explain.record_level(
-                "right", level, expansions, len(next_frontier)
-            )
-        self._right_frontier = next_frontier
+            self._explain.record_level("right", level, expansions, added)
+        self._right_frontier = bucket
+        self._right_size = added
 
 
 __all__ = [

@@ -26,10 +26,10 @@ def _join_steps(index: PartialPathIndex) -> Iterator[List[Path]]:
     """The one full join: each step's output, direct edge first.
 
     Runs :meth:`PartialPathIndex.packed_program` step by step: one int
-    AND against the cut-vertex bit per probe replaces the per-probe set
-    build + ``isdisjoint`` + tail slice, and the packed arrays mirror
-    the dict/set walk order exactly, so the emitted sequence is the
-    Algorithm 1 order.  Each step's emit count is the length of its
+    AND of the two stored join masks against the cut-vertex bit per
+    probe is the disjointness test, and the packed views keep bucket
+    insertion order, so the emitted sequence is the Algorithm 1 walk of
+    the buckets.  Each step's emit count is the length of its
     output, so with observability on (:func:`repro.obs.enabled`) or an
     EXPLAIN recorder installed (:func:`repro.obs.explain.active`) the
     per-pair accounting costs O(plan length), not O(paths).
@@ -51,8 +51,8 @@ def _join_steps(index: PartialPathIndex) -> Iterator[List[Path]]:
         else:
             out = []
             append = out.append
-            for vcbit, lmasks, lpaths, rpairs in step.buckets:
-                for lmask, lp in zip(lmasks, lpaths):
+            for vcbit, lpairs, rpairs in step.buckets:
+                for lmask, lp in lpairs:
                     for rmask, rtail in rpairs:
                         if (lmask & rmask) == vcbit:
                             append(lp + rtail)
@@ -102,11 +102,14 @@ def enumerate_delta(
 
     The two join terms are disjoint by construction (the second term
     explicitly skips left paths that are in the delta), so every changed
-    full path is produced exactly once.
+    full path is produced exactly once.  The disjointness test is the
+    full join's: the stored join masks of the two sides may share only
+    the cut vertex's bit.
     """
     if direct_edge_changed:
         yield (index.s, index.t)
     left, right = index.left, index.right
+    bit = index.bit
     for i, j in index.plan:
         # Term 1: changed left x full right.
         delta_left_bucket = left_delta.bucket(i)
@@ -116,10 +119,10 @@ def enumerate_delta(
                 right_paths = right_bucket.get(vc)
                 if not right_paths:
                     continue
-                for lp in delta_paths:
-                    lp_set = set(lp)
-                    for rp in right_paths:
-                        if lp_set.isdisjoint(rp[1:]):
+                vcbit = bit(vc)
+                for lp, lmask in delta_paths.items():
+                    for rp, rmask in right_paths.items():
+                        if (lmask & rmask) == vcbit:
                             yield lp + rp[1:]
         # Term 2: unchanged left x changed right.
         delta_right_bucket = right_delta.bucket(j)
@@ -129,12 +132,13 @@ def enumerate_delta(
                 left_paths = left_bucket.get(vc)
                 if not left_paths:
                     continue
-                for lp in left_paths:
-                    if left_delta.contains(vc, lp):
+                changed = delta_left_bucket.get(vc, ())
+                vcbit = bit(vc)
+                for lp, lmask in left_paths.items():
+                    if lp in changed:
                         continue
-                    lp_set = set(lp)
-                    for rp in delta_paths:
-                        if lp_set.isdisjoint(rp[1:]):
+                    for rp, rmask in delta_paths.items():
+                        if (lmask & rmask) == vcbit:
                             yield lp + rp[1:]
 
 

@@ -18,49 +18,27 @@ so that joining is plain tuple concatenation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import (
-    Any, Callable, Dict, Iterator, List, NamedTuple, Optional, Set, Tuple,
-)
+from typing import Any, Dict, Iterator, List, NamedTuple, Optional, Set, Tuple
 
-from repro.core.paths import Path, hops
+from repro.core.paths import Path
 from repro.core.plan import JoinPlan
 from repro.graph.digraph import Vertex
 from repro.graph.interning import VertexInterner
 
-Bucket = Dict[Vertex, Set[Path]]
+#: One index level: key vertex -> ``{path: join mask}``.  Both dicts
+#: are insertion-ordered, and that order is the join's emission order.
+Bucket = Dict[Vertex, Dict[Path, int]]
 
+#: One level as the join probe reads it: key vertex -> ``(mask, path)``
+#: pairs (left side) or ``(mask, path[1:])`` pairs (right side), in
+#: bucket insertion order.  Built from a :data:`Bucket` without touching
+#: a vertex, cached per length, and read-only (lint rule R013).
+PackedLevel = Dict[Vertex, List[Tuple[int, Path]]]
 
-@dataclass
-class PackedLevel:
-    """One index level flattened for the join probe (offset-indexed).
-
-    The paths of every vertex bucket at one length are laid out
-    back-to-back in ``flat_paths``; ``slots[v]`` is the bucket's
-    ``(start, end, vcbit)`` window into the flat arrays, where ``vcbit``
-    is the key vertex's bit in the index's private bit-id space.
-    ``masks[p]`` is the vertex bitmask of ``flat_paths[p]`` — two
-    partial paths meeting at cut vertex ``v`` join into a *simple* path
-    iff ``left_mask & right_mask == vcbit`` (they share exactly the cut
-    vertex), which turns the per-probe disjointness test into one int
-    AND.  For right levels ``tails`` additionally pre-slices each path's
-    ``path[1:]`` so the emit is a single tuple concatenation.
-
-    A packed level is a cache owned by :class:`PathBuckets` (invalidated
-    by any mutation); everything in it must be treated as read-only
-    (lint rule R013).
-    """
-
-    slots: Dict[Vertex, Tuple[int, int, int]]
-    flat_paths: List[Path]
-    masks: List[int]
-    tails: Optional[List[Path]]
-
-
-#: One pre-resolved cut-vertex bucket of a join step:
-#: ``(vc bit, left masks, left paths, right (mask, tail) pairs)`` — the
-#: slices/pairs are materialized once per index version so the probe
-#: loop runs on plain lists with no per-call slicing.
-BucketStep = Tuple[int, List[int], List[Path], List[Tuple[int, Path]]]
+#: One cut-vertex bucket of a big join step: ``(vc bit, left (mask,
+#: path) pairs, right (mask, tail) pairs)`` — the packed level's own
+#: lists, shared, not copied.
+BucketStep = Tuple[int, List[Tuple[int, Path]], List[Tuple[int, Path]]]
 
 #: One linearized probe of a small join step:
 #: ``(left mask, left path, right mask, right tail, vc bit)``.
@@ -105,56 +83,77 @@ class PathBuckets:
     for left partial paths, the first for right partial paths.  The
     caller passes it explicitly so the same container serves both sides
     (and the maintenance delta records).
+
+    Each path is stored with its *join mask*: the OR of ``1 << bit(v)``
+    over its vertices, in the owning index's private bit space.  Two
+    partial paths meeting at cut vertex ``v`` join into a simple path
+    iff ``left_mask & right_mask == bit(v)``.  The writer supplies the
+    mask (construction and maintenance derive it from the parent path's
+    mask as they extend), so nothing here ever interns a vertex.
     """
 
-    __slots__ = ("_by_len", "_count", "_version", "_packed")
+    __slots__ = ("_by_len", "_counts", "_version", "_packed")
 
     def __init__(self) -> None:
         self._by_len: Dict[int, Bucket] = {}
-        self._count = 0
-        # Mutation counter + per-length packed-level cache.  Every write
-        # (add/remove, or a bulk construction write reported through
-        # note_added) bumps the version; packed() rebuilds lazily when
-        # its stamp is stale.
+        # Paths per length: len(), count_at_length() and the memory
+        # accounting read these instead of walking the paths.
+        self._counts: Dict[int, int] = {}
+        # Write counter (the join program's cache stamp) and the
+        # per-length packed views; a write at length L drops only L's.
         self._version = 0
-        self._packed: Dict[int, Tuple[int, PackedLevel]] = {}
+        self._packed: Dict[int, PackedLevel] = {}
 
-    def add(self, vertex: Vertex, path: Path) -> bool:
-        """Insert ``path`` under ``(hops(path), vertex)``; True if new."""
-        bucket = self._by_len.setdefault(hops(path), {})
-        paths = bucket.setdefault(vertex, set())
-        if path in paths:
+    def add(self, vertex: Vertex, path: Path, mask: int) -> bool:
+        """Insert ``path`` with its join ``mask``; True if new."""
+        length = len(path) - 1
+        bucket = self._by_len.get(length)
+        if bucket is None:
+            bucket = self._by_len[length] = {}
+        paths = bucket.get(vertex)
+        if paths is None:
+            bucket[vertex] = {path: mask}
+        elif path in paths:
             return False
-        paths.add(path)
-        self._count += 1
+        else:
+            paths[path] = mask
+        counts = self._counts
+        counts[length] = counts.get(length, 0) + 1
         self._version += 1
+        self._packed.pop(length, None)
         return True
 
     def remove(self, vertex: Vertex, path: Path) -> bool:
         """Remove ``path``; True if it was present."""
-        length = hops(path)
+        length = len(path) - 1
         bucket = self._by_len.get(length)
         if bucket is None:
             return False
         paths = bucket.get(vertex)
         if paths is None or path not in paths:
             return False
-        paths.discard(path)
-        self._count -= 1
+        del paths[path]
+        self._counts[length] -= 1
         self._version += 1
+        self._packed.pop(length, None)
         if not paths:
             del bucket[vertex]
             if not bucket:
                 del self._by_len[length]
+                del self._counts[length]
         return True
 
     def contains(self, vertex: Vertex, path: Path) -> bool:
         """Membership test under ``(hops(path), vertex)``."""
-        bucket = self._by_len.get(hops(path))
+        return self.mask_of(vertex, path) is not None
+
+    def mask_of(self, vertex: Vertex, path: Path) -> Optional[int]:
+        """The stored join mask of ``path``, or None if it is absent."""
+        bucket = self._by_len.get(len(path) - 1)
         if bucket is None:
-            return False
+            return None
         paths = bucket.get(vertex)
-        return paths is not None and path in paths
+        return None if paths is None else paths.get(path)
 
     def bucket(self, length: int) -> Bucket:
         """All vertex buckets at ``length`` (live mapping; may be empty)."""
@@ -164,93 +163,78 @@ class PathBuckets:
         """The live bucket at ``length``, created if missing.
 
         Bulk-insert fast path for the construction level search: callers
-        write path sets directly and report the added count through
-        :meth:`note_added`.
+        write ``{path: mask}`` entries directly and report the added
+        count through :meth:`note_added`.
         """
         return self._by_len.setdefault(length, {})
 
-    def note_added(self, count: int) -> None:
-        """Adjust the path counter after direct ``level_dict`` writes.
+    def note_added(self, length: int, count: int) -> None:
+        """Account for ``count`` direct ``level_dict`` writes at ``length``.
 
-        Also invalidates the packed-level caches: the construction level
-        search writes buckets directly and *always* reports through this
-        hook, so the bump keeps the caches exact without a per-path cost.
+        The construction level search *always* reports through this
+        hook, so the counters and the packed view of ``length`` stay
+        exact without a per-path cost.
         """
-        self._count += count
+        self._counts[length] = self._counts.get(length, 0) + count
         self._version += 1
+        self._packed.pop(length, None)
 
     @property
     def version(self) -> int:
-        """Mutation stamp; changes whenever the stored paths change."""
+        """Write stamp; changes whenever the stored paths change."""
         return self._version
 
-    def packed(
-        self,
-        length: int,
-        intern: Callable[[Vertex], int],
-        with_tails: bool = False,
-    ) -> Optional[PackedLevel]:
-        """The level at ``length`` as a :class:`PackedLevel` (cached).
+    def packed(self, length: int, tails: bool = False) -> Optional[PackedLevel]:
+        """The level at ``length`` as a :data:`PackedLevel` (cached).
 
-        ``intern`` maps a vertex to its bit index in the owning index's
-        private bit space (both sides of one index must share it so the
-        masks are comparable).  Returns ``None`` for an empty level.
-        The result is rebuilt only after a mutation; bucket and
-        within-bucket path order follow the live containers, so the
-        packed probe enumerates in exactly the order the dict/set walk
-        would.
+        With ``tails`` each pair carries ``path[1:]`` instead of the
+        path, so a right level's emit is one tuple concatenation.
+        Returns ``None`` for an empty level.  The view is rebuilt only
+        after a write at ``length``; vertex and within-bucket order
+        follow the live dicts (insertion order).
         """
+        view = self._packed.get(length)
+        if view is not None:
+            return view
         bucket = self._by_len.get(length)
         if not bucket:
             return None
-        cached = self._packed.get(length)
-        if cached is not None and cached[0] == self._version:
-            return cached[1]
-        slots: Dict[Vertex, Tuple[int, int, int]] = {}
-        flat_paths: List[Path] = []
-        masks: List[int] = []
-        tails: Optional[List[Path]] = [] if with_tails else None
-        for vertex, paths in bucket.items():
-            start = len(flat_paths)
-            for path in paths:
-                mask = 0
-                for v in path:
-                    mask |= 1 << intern(v)
-                flat_paths.append(path)
-                masks.append(mask)
-                if tails is not None:
-                    tails.append(path[1:])
-            slots[vertex] = (start, len(flat_paths), 1 << intern(vertex))
-        packed = PackedLevel(
-            slots=slots,
-            flat_paths=flat_paths,
-            masks=masks,
-            tails=tails,
-        )
-        self._packed[length] = (self._version, packed)
-        return packed
+        if tails:
+            view = {
+                vertex: [(mask, path[1:]) for path, mask in paths.items()]
+                for vertex, paths in bucket.items()
+            }
+        else:
+            view = {
+                vertex: list(zip(paths.values(), paths))
+                for vertex, paths in bucket.items()
+            }
+        self._packed[length] = view
+        return view
 
-    def at(self, vertex: Vertex, length: int) -> Set[Path]:
-        """Paths at ``(vertex, length)`` (live set; may be empty)."""
-        return self._by_len.get(length, {}).get(vertex, set())
+    def at(self, vertex: Vertex, length: int) -> Dict[Path, int]:
+        """``{path: mask}`` at ``(vertex, length)`` (live; may be empty)."""
+        return self._by_len.get(length, {}).get(vertex, {})
 
-    def at_vertex(self, vertex: Vertex) -> Iterator[Tuple[int, Path]]:
-        """All ``(length, path)`` entries keyed at ``vertex``."""
+    def at_vertex(self, vertex: Vertex) -> Iterator[Tuple[int, Path, int]]:
+        """All ``(length, path, mask)`` entries keyed at ``vertex``."""
         for length, bucket in self._by_len.items():
-            for path in bucket.get(vertex, ()):
-                yield length, path
+            paths = bucket.get(vertex)
+            if paths:
+                for path, mask in paths.items():
+                    yield length, path, mask
 
     def paths(self) -> Iterator[Path]:
-        """Every stored path."""
+        """Every stored path, by length, key vertex and insertion."""
         for bucket in self._by_len.values():
-            for path_set in bucket.values():
-                yield from path_set
+            for paths in bucket.values():
+                yield from paths
 
     def entries(self) -> Iterator[Tuple[int, Vertex, Path]]:
         """Every ``(length, vertex, path)`` triple."""
         for length, bucket in self._by_len.items():
-            for vertex, path_set in bucket.items():
-                for path in path_set:
+            for vertex, paths in bucket.items():
+                for path in paths:
                     yield length, vertex, path
 
     def lengths(self) -> Iterator[int]:
@@ -259,10 +243,14 @@ class PathBuckets:
 
     def count_at_length(self, length: int) -> int:
         """Number of paths of exactly ``length`` hops."""
-        return sum(len(ps) for ps in self._by_len.get(length, {}).values())
+        return self._counts.get(length, 0)
+
+    def vertex_slots(self) -> int:
+        """Total vertex entries: a path of ``L`` hops holds ``L + 1``."""
+        return sum((length + 1) * n for length, n in self._counts.items())
 
     def __len__(self) -> int:
-        return self._count
+        return sum(self._counts.values())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PathBuckets):
@@ -270,7 +258,8 @@ class PathBuckets:
         return self.as_dict() == other.as_dict()
 
     def as_dict(self) -> Dict[int, Dict[Vertex, Set[Path]]]:
-        """A normalized copy (empty buckets dropped) for comparisons."""
+        """A normalized copy (empty buckets dropped, masks and order
+        ignored) for comparisons."""
         return {
             length: {v: set(ps) for v, ps in bucket.items() if ps}
             for length, bucket in self._by_len.items()
@@ -278,7 +267,7 @@ class PathBuckets:
         }
 
     def __repr__(self) -> str:
-        return f"PathBuckets(paths={self._count})"
+        return f"PathBuckets(paths={len(self)})"
 
 
 @dataclass(frozen=True)
@@ -307,7 +296,12 @@ class IndexMemoryStats:
 
 
 class PartialPathIndex:
-    """The partial path index for one query ``q(s, t, k)``."""
+    """The partial path index for one query ``q(s, t, k)``.
+
+    ``bits`` is the query-private bit space of the join masks; the
+    construction level search passes the interner it assigned bits
+    with (in discovery order), so the masks it stored stay valid.
+    """
 
     __slots__ = (
         "s",
@@ -321,7 +315,14 @@ class PartialPathIndex:
         "_program",
     )
 
-    def __init__(self, s: Vertex, t: Vertex, k: int, plan: JoinPlan) -> None:
+    def __init__(
+        self,
+        s: Vertex,
+        t: Vertex,
+        k: int,
+        plan: JoinPlan,
+        bits: Optional[VertexInterner] = None,
+    ) -> None:
         if s == t:
             raise ValueError("s and t must differ")
         if plan.k != k:
@@ -333,24 +334,43 @@ class PartialPathIndex:
         self.left = PathBuckets()
         self.right = PathBuckets()
         self.direct_edge = False
-        # The query-private bit-id space of the join masks: bits are
-        # assigned to vertices in first-packed order, shared by both
-        # sides so left/right masks are comparable.
-        self._bits = VertexInterner()
+        self._bits = bits if bits is not None else VertexInterner()
         # Join-program cache: (left obj, right obj, left ver, right ver,
-        # program).  Identity + version checks catch both in-place
-        # mutation and wholesale bucket replacement (build_index assigns
-        # fresh PathBuckets).
+        # program, per-step (left view, right view)).  Identity + version
+        # checks catch both in-place writes and wholesale bucket
+        # replacement; a stale program keeps every step whose two packed
+        # views are still the cached ones.
         self._program: Optional[
-            Tuple[Any, Any, int, int, List[JoinStep]]
+            Tuple[Any, Any, int, int, List[JoinStep], List[Tuple[Any, Any]]]
         ] = None
+
+    # ------------------------------------------------------------------
+    # Join masks
+    # ------------------------------------------------------------------
+    def bit(self, vertex: Vertex) -> int:
+        """``vertex``'s mask bit, assigning the next bit if it is new."""
+        return 1 << self._bits.intern(vertex)
+
+    def mask_of(self, path: Path) -> int:
+        """The join mask of ``path``: one pass over its vertices."""
+        intern = self._bits.intern
+        mask = 0
+        for v in path:
+            mask |= 1 << intern(v)
+        return mask
 
     # ------------------------------------------------------------------
     # Left side (paths s -> v, keyed by their last vertex)
     # ------------------------------------------------------------------
-    def add_left(self, path: Path) -> bool:
-        """Store a left partial path; True if new."""
-        return self.left.add(path[-1], path)
+    def add_left(self, path: Path, mask: Optional[int] = None) -> bool:
+        """Store a left partial path; True if new.
+
+        ``mask`` is the path's join mask when the caller derived it from
+        a parent path; otherwise it is computed here.
+        """
+        if mask is None:
+            mask = self.mask_of(path)
+        return self.left.add(path[-1], path, mask)
 
     def remove_left(self, path: Path) -> bool:
         """Drop a left partial path; True if present."""
@@ -363,9 +383,11 @@ class PartialPathIndex:
     # ------------------------------------------------------------------
     # Right side (paths v -> t in forward orientation, keyed by first vertex)
     # ------------------------------------------------------------------
-    def add_right(self, path: Path) -> bool:
-        """Store a right partial path; True if new."""
-        return self.right.add(path[0], path)
+    def add_right(self, path: Path, mask: Optional[int] = None) -> bool:
+        """Store a right partial path; True if new (``mask`` as above)."""
+        if mask is None:
+            mask = self.mask_of(path)
+        return self.right.add(path[0], path, mask)
 
     def remove_right(self, path: Path) -> bool:
         """Drop a right partial path; True if present."""
@@ -379,93 +401,94 @@ class PartialPathIndex:
     # Packed join views
     # ------------------------------------------------------------------
     def packed_left(self, length: int) -> Optional[PackedLevel]:
-        """``LP_length`` flattened for the join probe (None if empty)."""
-        return self.left.packed(length, self._bits.intern)
+        """``LP_length`` as ``(mask, path)`` pairs per vertex (None if empty)."""
+        return self.left.packed(length)
 
     def packed_right(self, length: int) -> Optional[PackedLevel]:
-        """``RP_length`` flattened, with pre-sliced tails (None if empty)."""
-        return self.right.packed(length, self._bits.intern, with_tails=True)
+        """``RP_length`` as ``(mask, tail)`` pairs per vertex (None if empty)."""
+        return self.right.packed(length, tails=True)
 
     def packed_program(self) -> List[JoinStep]:
         """The join plan resolved against the packed levels.
 
         One :class:`JoinStep` per plan pair, in plan order, carrying the
         step's cut-vertex count and probe total plus, per cut vertex
-        present on both sides, its pre-sliced probe data — middle-vertex
+        present on both sides, its probe data — middle-vertex
         intersection order preserved (driven from the smaller side).
-        Cached until either side's buckets change or are replaced.
+        Cached until either side is written or replaced; after a write
+        only the steps reading a rewritten length are rebuilt.
         """
+        left, right = self.left, self.right
         cached = self._program
         if (
             cached is not None
-            and cached[0] is self.left
-            and cached[1] is self.right
-            and cached[2] == self.left.version
-            and cached[3] == self.right.version
+            and cached[0] is left
+            and cached[1] is right
+            and cached[2] == left.version
+            and cached[3] == right.version
         ):
             return cached[4]
         program: List[JoinStep] = []
-        for i, j in self.plan:
-            lpk = self.packed_left(i)
-            rpk = self.packed_right(j)
-            live = lpk is not None and rpk is not None
-            buckets: List[BucketStep] = []
-            probe_total = 0
-            if lpk is not None and rpk is not None:
-                left_slots = lpk.slots
-                right_slots = rpk.slots
-                if len(left_slots) <= len(right_slots):
-                    middles = (v for v in left_slots if v in right_slots)
-                else:
-                    middles = (v for v in right_slots if v in left_slots)
-                assert rpk.tails is not None
-                for vc in middles:
-                    ls, le, vcbit = left_slots[vc]
-                    rs, re, _ = right_slots[vc]
-                    probe_total += (le - ls) * (re - rs)
-                    buckets.append(
-                        (
-                            vcbit,
-                            lpk.masks[ls:le],
-                            lpk.flat_paths[ls:le],
-                            list(zip(rpk.masks[rs:re], rpk.tails[rs:re])),
-                        )
-                    )
-            cut_vertices = len(buckets)
-            probes: Optional[List[ProbeStep]] = None
-            if probe_total < PACK_FLAT_STEP_MAX:
-                probes = [
-                    (lmask, lp, rmask, rtail, vcbit)
-                    for vcbit, lms, lps, rpairs in buckets
-                    for lmask, lp in zip(lms, lps)
-                    for rmask, rtail in rpairs
-                ]
-                buckets = []
-            program.append(
-                JoinStep(
-                    i, j, live, cut_vertices, probe_total, probes, buckets
-                )
-            )
+        views: List[Tuple[Any, Any]] = []
+        for pos, (i, j) in enumerate(self.plan):
+            lview = left.packed(i)
+            rview = right.packed(j, tails=True)
+            if cached is not None:
+                old_l, old_r = cached[5][pos]
+                if old_l is lview and old_r is rview:
+                    program.append(cached[4][pos])
+                    views.append((lview, rview))
+                    continue
+            program.append(self._join_step(i, j, lview, rview))
+            views.append((lview, rview))
         self._program = (
-            self.left,
-            self.right,
-            self.left.version,
-            self.right.version,
-            program,
+            left, right, left.version, right.version, program, views
         )
         return program
+
+    def _join_step(
+        self,
+        i: int,
+        j: int,
+        lview: Optional[PackedLevel],
+        rview: Optional[PackedLevel],
+    ) -> JoinStep:
+        if lview is None or rview is None:
+            return JoinStep(i, j, False, 0, 0, [], [])
+        if len(lview) <= len(rview):
+            middles = [v for v in lview if v in rview]
+        else:
+            middles = [v for v in rview if v in lview]
+        id_of = self._bits.id_of
+        cuts: List[BucketStep] = []
+        probe_total = 0
+        for vc in middles:
+            lpairs = lview[vc]
+            rpairs = rview[vc]
+            probe_total += len(lpairs) * len(rpairs)
+            cuts.append((1 << id_of(vc), lpairs, rpairs))
+        if probe_total < PACK_FLAT_STEP_MAX:
+            probes = [
+                (lmask, lp, rmask, rtail, vcbit)
+                for vcbit, lpairs, rpairs in cuts
+                for lmask, lp in lpairs
+                for rmask, rtail in rpairs
+            ]
+            return JoinStep(i, j, True, len(cuts), probe_total, probes, [])
+        return JoinStep(i, j, True, len(cuts), probe_total, None, cuts)
 
     # ------------------------------------------------------------------
     # Accounting
     # ------------------------------------------------------------------
     def memory_stats(self) -> IndexMemoryStats:
-        """Size accounting for the memory experiment (Fig. 12)."""
-        slots = sum(len(p) for p in self.left.paths())
-        slots += sum(len(p) for p in self.right.paths())
+        """Size accounting for the memory experiment (Fig. 12).
+
+        O(stored lengths): read off the per-length path counts.
+        """
         return IndexMemoryStats(
             left_paths=len(self.left),
             right_paths=len(self.right),
-            vertex_slots=slots,
+            vertex_slots=self.left.vertex_slots() + self.right.vertex_slots(),
         )
 
     def __repr__(self) -> str:

@@ -63,7 +63,7 @@ class StrictUdfsMaintainer(IndexMaintainer):
 
         stack: List[Path] = []
         for u2 in frontier:
-            for length, path in list(self.index.right.at_vertex(u2)):
+            for length, path, _ in list(self.index.right.at_vertex(u2)):
                 if length + 1 > r:
                     continue
                 for v2 in self.graph.in_neighbors(u2):
@@ -74,8 +74,9 @@ class StrictUdfsMaintainer(IndexMaintainer):
                     if not newly_admissible(v2, length + 1):
                         continue
                     extended = (v2,) + path
-                    if self.index.add_right(extended):
-                        delta.add(v2, extended)
+                    mask = self.index.mask_of(extended)
+                    if self.index.add_right(extended, mask):
+                        delta.add(v2, extended, mask)
                         stack.append(extended)  # strict: recurse on NEW only
         while stack:
             path = stack.pop()
@@ -90,8 +91,9 @@ class StrictUdfsMaintainer(IndexMaintainer):
                 if not newly_admissible(v2, length + 1):
                     continue
                 extended = (v2,) + path
-                if self.index.add_right(extended):
-                    delta.add(v2, extended)
+                mask = self.index.mask_of(extended)
+                if self.index.add_right(extended, mask):
+                    delta.add(v2, extended, mask)
                     stack.append(extended)
 
     def _repair_left(
@@ -120,7 +122,7 @@ class StrictUdfsMaintainer(IndexMaintainer):
 
         stack: List[Path] = []
         for u2 in frontier:
-            for length, path in list(self.index.left.at_vertex(u2)):
+            for length, path, _ in list(self.index.left.at_vertex(u2)):
                 if length + 1 > l:
                     continue
                 for v2 in self.graph.out_neighbors(u2):
@@ -131,8 +133,9 @@ class StrictUdfsMaintainer(IndexMaintainer):
                     if not newly_admissible(v2, length + 1):
                         continue
                     extended = path + (v2,)
-                    if self.index.add_left(extended):
-                        delta.add(v2, extended)
+                    mask = self.index.mask_of(extended)
+                    if self.index.add_left(extended, mask):
+                        delta.add(v2, extended, mask)
                         stack.append(extended)
         while stack:
             path = stack.pop()
@@ -147,8 +150,9 @@ class StrictUdfsMaintainer(IndexMaintainer):
                 if not newly_admissible(v2, length + 1):
                     continue
                 extended = path + (v2,)
-                if self.index.add_left(extended):
-                    delta.add(v2, extended)
+                mask = self.index.mask_of(extended)
+                if self.index.add_left(extended, mask):
+                    delta.add(v2, extended, mask)
                     stack.append(extended)
 
 

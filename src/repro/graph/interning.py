@@ -37,11 +37,12 @@ class VertexInterner:
     __slots__ = ("_ids", "_vertices")
 
     def __init__(self, vertices: Optional[Iterable[Vertex]] = None) -> None:
-        self._ids: Dict[Vertex, int] = {}
-        self._vertices: List[Vertex] = []
-        if vertices is not None:
-            for v in vertices:
-                self.intern(v)
+        self._vertices: List[Vertex] = (
+            [] if vertices is None else list(dict.fromkeys(vertices))
+        )
+        self._ids: Dict[Vertex, int] = {
+            v: i for i, v in enumerate(self._vertices)
+        }
 
     # ------------------------------------------------------------------
     # Mapping

@@ -46,8 +46,8 @@ def estimated_entry_bytes(entry: CpeEnumerator) -> int:
 
     Derived from the index's own memory accounting
     (:meth:`~repro.core.index.PartialPathIndex.memory_stats`) plus a
-    fixed :data:`ENTRY_BASE_BYTES` overhead — one pass over the stored
-    partial paths, no serialization.  Deterministic for a given index
+    fixed :data:`ENTRY_BASE_BYTES` overhead — read off per-length path
+    counts in O(stored lengths), no serialization.  Deterministic for a given index
     state, so sizing decisions (cache vs. bypass, eviction pressure)
     are reproducible.
     """

@@ -83,7 +83,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.core.paths import Path
 
@@ -459,9 +459,13 @@ def decode_response(line: Wire) -> Response:
 # ---------------------------------------------------------------------------
 
 
-def encode_paths(paths: Iterable[Path]) -> List[List[Any]]:
-    """Paths as JSON-representable lists of vertices."""
-    return [list(path) for path in paths]
+def encode_paths(paths: Sequence[Path]) -> Sequence[Path]:
+    """Paths in wire form: the sequence itself, with no per-path copy.
+
+    ``json.dumps`` writes a tuple as an array, so a list of path tuples
+    encodes to exactly the bytes of the list-of-lists form.
+    """
+    return paths
 
 
 def decode_paths(raw: Iterable[Iterable[Any]]) -> List[Path]:

@@ -220,15 +220,18 @@ def test_r013_allows_the_owning_modules(tmp_path):
 def test_r013_flags_packed_level_writes(tmp_path):
     source = textwrap.dedent(
         """\
-        def poke(level, i):
-            level.masks[i] = 0
-            level.flat_paths.clear()
-            level.tails = None
+        def poke(index, step, v):
+            index.packed_left(2)[v].append((0, (v,)))
+            index.packed_right(1)[v] = []
+            step.probes.clear()
+            step.buckets = []
+            index.packed_program().pop()
+            return len(index.packed_left(2)[v]), step.probes[0]
         """
     )
     report = lint_source(tmp_path, source, select=["R013"])
     lines = [f.line for f in report.for_rule("R013")]
-    assert lines == [2, 3, 4]
+    assert lines == [2, 3, 4, 5, 6]
 
 
 def _scoped_module(tmp_path, dotted_dir, filename, source):

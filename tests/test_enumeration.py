@@ -54,22 +54,23 @@ class TestFullEnumeration:
 class TestDeltaJoin:
     def test_delta_left_joins_full_right(self, diamond):
         result = build_index(diamond, 0, 3, 2)
+        index = result.index
         delta_left = PathBuckets()
-        delta_left.add(1, (0, 1))  # pretend (0, 1) is newly added
+        # pretend (0, 1) is newly added
+        delta_left.add(1, (0, 1), index.mask_of((0, 1)))
         got = set(
-            enumerate_delta(result.index, delta_left, PathBuckets())
+            enumerate_delta(index, delta_left, PathBuckets())
         )
         assert got == {(0, 1, 3)}
 
     def test_delta_right_skips_delta_left_pairs(self, diamond):
         result = build_index(diamond, 0, 3, 2)
+        index = result.index
         delta_left = PathBuckets()
-        delta_left.add(1, (0, 1))
+        delta_left.add(1, (0, 1), index.mask_of((0, 1)))
         delta_right = PathBuckets()
-        delta_right.add(1, (1, 3))
-        got = list(
-            enumerate_delta(result.index, delta_left, delta_right)
-        )
+        delta_right.add(1, (1, 3), index.mask_of((1, 3)))
+        got = list(enumerate_delta(index, delta_left, delta_right))
         # (0,1)x(1,3) must appear exactly once (via the delta-left term)
         assert got.count((0, 1, 3)) == 1
 

@@ -176,7 +176,8 @@ class TestVerify:
 
     def test_detects_malformed_path(self, diamond):
         cpe = CpeEnumerator(diamond, 0, 3, 3)
-        cpe.index.left.add(2, (0, 2, 2))  # non-simple, misfiled
+        bad = (0, 2, 2)  # non-simple, misfiled
+        cpe.index.left.add(2, bad, cpe.index.mask_of(bad))
         findings = verify_enumerator(cpe)
         assert any("malformed" in f or "misfiled" in f for f in findings)
 

@@ -6,22 +6,30 @@ from repro.core.index import PartialPathIndex, PathBuckets
 from repro.core.plan import balanced_plan
 
 
+def mask(path):
+    """A join mask over small int vertices: bit ``v`` per vertex."""
+    out = 0
+    for v in path:
+        out |= 1 << v
+    return out
+
+
 class TestPathBuckets:
     def test_add_and_contains(self):
         b = PathBuckets()
-        assert b.add(2, (0, 1, 2)) is True
+        assert b.add(2, (0, 1, 2), mask((0, 1, 2))) is True
         assert b.contains(2, (0, 1, 2))
         assert len(b) == 1
 
     def test_add_duplicate(self):
         b = PathBuckets()
-        b.add(2, (0, 1, 2))
-        assert b.add(2, (0, 1, 2)) is False
+        b.add(2, (0, 1, 2), mask((0, 1, 2)))
+        assert b.add(2, (0, 1, 2), mask((0, 1, 2))) is False
         assert len(b) == 1
 
     def test_remove(self):
         b = PathBuckets()
-        b.add(2, (0, 1, 2))
+        b.add(2, (0, 1, 2), mask((0, 1, 2)))
         assert b.remove(2, (0, 1, 2)) is True
         assert not b.contains(2, (0, 1, 2))
         assert len(b) == 0
@@ -29,59 +37,64 @@ class TestPathBuckets:
     def test_remove_missing(self):
         b = PathBuckets()
         assert b.remove(2, (0, 1, 2)) is False
-        b.add(3, (0, 3))
+        b.add(3, (0, 3), mask((0, 3)))
         assert b.remove(3, (0, 1, 3)) is False
 
     def test_remove_cleans_empty_buckets(self):
         b = PathBuckets()
-        b.add(1, (0, 1))
+        b.add(1, (0, 1), mask((0, 1)))
         b.remove(1, (0, 1))
         assert list(b.lengths()) == []
 
     def test_bucket_by_length(self):
         b = PathBuckets()
-        b.add(1, (0, 1))
-        b.add(2, (0, 1, 2))
+        b.add(1, (0, 1), mask((0, 1)))
+        b.add(2, (0, 1, 2), mask((0, 1, 2)))
         assert set(b.bucket(1)) == {1}
         assert set(b.bucket(2)) == {2}
         assert b.bucket(9) == {}
 
     def test_at_vertex(self):
         b = PathBuckets()
-        b.add(5, (0, 5))
-        b.add(5, (0, 1, 5))
-        b.add(6, (0, 6))
+        b.add(5, (0, 5), mask((0, 5)))
+        b.add(5, (0, 1, 5), mask((0, 1, 5)))
+        b.add(6, (0, 6), mask((0, 6)))
         entries = sorted(b.at_vertex(5))
-        assert entries == [(1, (0, 5)), (2, (0, 1, 5))]
+        assert entries == [
+            (1, (0, 5), mask((0, 5))),
+            (2, (0, 1, 5), mask((0, 1, 5))),
+        ]
 
     def test_entries_and_paths(self):
         b = PathBuckets()
-        b.add(1, (0, 1))
-        b.add(2, (0, 1, 2))
+        b.add(1, (0, 1), mask((0, 1)))
+        b.add(2, (0, 1, 2), mask((0, 1, 2)))
         assert set(b.paths()) == {(0, 1), (0, 1, 2)}
         assert set(b.entries()) == {(1, 1, (0, 1)), (2, 2, (0, 1, 2))}
 
     def test_count_at_length(self):
         b = PathBuckets()
-        b.add(1, (0, 1))
-        b.add(2, (0, 2))
+        b.add(1, (0, 1), mask((0, 1)))
+        b.add(2, (0, 2), mask((0, 2)))
         assert b.count_at_length(1) == 2
         assert b.count_at_length(3) == 0
 
     def test_equality_normalizes_empty_buckets(self):
         a = PathBuckets()
         b = PathBuckets()
-        a.add(1, (0, 1))
+        a.add(1, (0, 1), mask((0, 1)))
         a.remove(1, (0, 1))
         assert a == b
 
     def test_level_dict_bulk_writes(self):
         b = PathBuckets()
         level = b.level_dict(2)
-        level[3] = {(0, 1, 3)}
-        b.note_added(1)
+        level[3] = {(0, 1, 3): mask((0, 1, 3))}
+        b.note_added(2, 1)
         assert b.contains(3, (0, 1, 3))
+        assert b.mask_of(3, (0, 1, 3)) == mask((0, 1, 3))
         assert len(b) == 1
+        assert b.count_at_length(2) == 1
 
 
 class TestPartialPathIndex:

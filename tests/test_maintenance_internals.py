@@ -71,9 +71,9 @@ class TestEdgeUsingMarks:
 class TestUpdateRecord:
     def test_delta_partial_paths(self):
         record = UpdateRecord(insert=True, changed=True)
-        record.left_delta.add(1, (0, 1))
-        record.right_delta.add(2, (2, 9))
-        record.right_delta.add(3, (3, 9))
+        record.left_delta.add(1, (0, 1), 0b11)
+        record.right_delta.add(2, (2, 9), 0b101)
+        record.right_delta.add(3, (3, 9), 0b1001)
         assert record.delta_partial_paths == 3
 
     def test_apply_removals_rejects_insert_records(self):

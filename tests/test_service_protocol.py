@@ -166,3 +166,9 @@ class TestPaths:
 
     def test_encoded_paths_are_json_serializable(self):
         json.dumps(encode_paths([(0, 1), (2, 3, 4)]))
+
+    def test_tuple_paths_go_out_as_the_list_form_bytes(self):
+        paths = [(0, 1), (2, "x", 4), ("s", "t")]
+        as_tuples = ok_response(3, {"paths": encode_paths(paths)})
+        as_lists = ok_response(3, {"paths": [list(p) for p in paths]})
+        assert as_tuples.to_wire() == as_lists.to_wire()
